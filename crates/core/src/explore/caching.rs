@@ -96,7 +96,7 @@ impl<'p> CachingCtx<'p> {
         last: Option<ThreadId>,
         preemptions: u32,
     ) -> Continue {
-        if self.collector.cancel_requested() {
+        if self.collector.stop_requested() {
             return Continue::Stop;
         }
         if !matches!(exec.phase(), ExecPhase::Running) {
@@ -110,15 +110,9 @@ impl<'p> CachingCtx<'p> {
         }
 
         for t in exec.enabled_iter() {
-            let preempt = last.is_some_and(|l| l != t && exec.is_enabled(l));
-            let p = preemptions + u32::from(preempt);
-            if let Some(bound) = self.collector.config().preemption_bound {
-                if p > bound {
-                    self.collector.stats.bound_prunes += 1;
-                    continue;
-                }
-            }
-
+            let Some(p) = self.collector.admit_choice(exec, last, t, preemptions) else {
+                continue;
+            };
             let mut child = exec.clone();
             let step_timer = self.collector.shard().timer_start(ids::PHASE_EXECUTOR_STEP);
             let out = child.step(t);

@@ -25,12 +25,7 @@ impl Explorer for DfsEnumeration {
 
     fn explore(&self, program: &Program, config: &ExploreConfig) -> ExploreStats {
         let start = Instant::now();
-        let mut ctx = DfsCtx {
-            program,
-            collector: Collector::new(config),
-            trace: Vec::new(),
-            schedule: Vec::new(),
-        };
+        let mut ctx = DfsCtx::new(program, Collector::new(config));
         let root = Executor::new(program);
         ctx.visit(&root, None, 0);
         let mut stats = ctx.collector.into_stats();
@@ -39,6 +34,8 @@ impl Explorer for DfsEnumeration {
     }
 }
 
+/// The depth-first visitor, shared by [`DfsEnumeration`] and the workers
+/// of [`ParallelDfs`](crate::explore::ParallelDfs).
 pub(crate) struct DfsCtx<'p> {
     pub(crate) program: &'p Program,
     pub(crate) collector: Collector,
@@ -47,6 +44,15 @@ pub(crate) struct DfsCtx<'p> {
 }
 
 impl<'p> DfsCtx<'p> {
+    pub(crate) fn new(program: &'p Program, collector: Collector) -> Self {
+        DfsCtx {
+            program,
+            collector,
+            trace: Vec::new(),
+            schedule: Vec::new(),
+        }
+    }
+
     /// Explores the subtree rooted at `exec`. `last` is the thread that
     /// took the previous step; `preemptions` counts preemptive switches on
     /// the path so far.
@@ -56,7 +62,7 @@ impl<'p> DfsCtx<'p> {
         last: Option<ThreadId>,
         preemptions: u32,
     ) -> Continue {
-        if self.collector.cancel_requested() {
+        if self.collector.stop_requested() {
             return Continue::Stop;
         }
         if !matches!(exec.phase(), ExecPhase::Running) {
@@ -70,16 +76,9 @@ impl<'p> DfsCtx<'p> {
         }
 
         for t in exec.enabled_iter() {
-            // A preemption switches away from a thread that could have
-            // continued.
-            let preempt = last.is_some_and(|l| l != t && exec.is_enabled(l));
-            let p = preemptions + u32::from(preempt);
-            if let Some(bound) = self.collector.config().preemption_bound {
-                if p > bound {
-                    self.collector.stats.bound_prunes += 1;
-                    continue;
-                }
-            }
+            let Some(p) = self.collector.admit_choice(exec, last, t, preemptions) else {
+                continue;
+            };
             let mut child = exec.clone();
             let step_timer = self.collector.shard().timer_start(ids::PHASE_EXECUTOR_STEP);
             let out = child.step(t);

@@ -7,11 +7,10 @@
 //! | Strategy | Module | Reduction idea |
 //! |----------|--------|----------------|
 //! | [`DfsEnumeration`] | [`dfs`] | none (every schedule), optional preemption bound |
-//! | [`Dpor`] | [`dpor`] | Flanagan–Godefroid dynamic partial-order reduction with clock vectors, optional sleep sets |
+//! | [`Dpor`] | [`dpor`] | Flanagan–Godefroid dynamic partial-order reduction with clock vectors, optional sleep sets; with a lazy [`DependenceMode`] it is the prototype lazy DPOR of the paper's §4 future work |
 //! | [`HbrCaching`] | [`caching`] | Musuvathi–Qadeer prefix caching on the regular **or lazy** HBR fingerprint |
-//! | [`LazyDpor`] | [`lazy_dpor`] | prototype of the paper's §4 future work: DPOR driven by lazy dependence |
 //! | [`RandomWalk`] | [`random`] | uniform random schedules (no reduction; baseline) |
-//! | [`ParallelDfs`] | [`parallel`] | DFS fanned out across OS threads |
+//! | [`ParallelDfs`] | [`parallel`] | the [`DfsEnumeration`] visitor run by OS threads over a static frontier of subtrees |
 //! | [`ParallelDpor`] | [`parallel_dpor`] | (lazy-)DPOR subtrees sharded across a work-stealing pool |
 //! | [`IterativeBounding`] | [`bounded`] | CHESS-style waves of increasing preemption budget over the caching explorer |
 
@@ -20,7 +19,6 @@ pub mod caching;
 pub mod dfs;
 pub mod dpor;
 pub(crate) mod frame_pool;
-pub mod lazy_dpor;
 pub mod parallel;
 pub mod parallel_dpor;
 pub mod random;
@@ -29,14 +27,14 @@ pub use bounded::{BoundedRun, IterativeBounding};
 pub use caching::HbrCaching;
 pub use dfs::DfsEnumeration;
 pub use dpor::{DependenceMode, Dpor};
-pub use lazy_dpor::{LazyDpor, LazyDporStyle};
 pub use parallel::ParallelDfs;
 pub use parallel_dpor::ParallelDpor;
 pub use random::RandomWalk;
 
 use crate::config::ExploreConfig;
 use crate::stats::ExploreStats;
-use lazylocks_model::Program;
+use lazylocks_model::{Program, ThreadId};
+use lazylocks_runtime::Executor;
 
 /// A schedule-space exploration strategy.
 pub trait Explorer {
@@ -45,6 +43,27 @@ pub trait Explorer {
 
     /// Explores `program` under `config`.
     fn explore(&self, program: &Program, config: &ExploreConfig) -> ExploreStats;
+}
+
+/// The preemption rule of every bounded strategy: stepping `t` after
+/// `last` is a preemption when `last` could have continued. Returns the
+/// path's preemption count after the step, or `None` when it would exceed
+/// `bound`. Without a bound the count is never read, so it is not
+/// computed.
+#[inline]
+pub(crate) fn preemptions_after(
+    bound: Option<u32>,
+    exec: &Executor,
+    last: Option<ThreadId>,
+    t: ThreadId,
+    preemptions: u32,
+) -> Option<u32> {
+    let Some(bound) = bound else {
+        return Some(preemptions);
+    };
+    let preempt = last.is_some_and(|l| l != t && exec.is_enabled(l));
+    let p = preemptions + u32::from(preempt);
+    (p <= bound).then_some(p)
 }
 
 // The deprecated closed `Strategy` enum that used to live here was

@@ -3,23 +3,28 @@
 //! The schedule tree is split near the root: a breadth-first expansion
 //! produces a frontier of independent subtree roots (executor snapshots
 //! plus their trace prefixes), which a mutex-guarded work queue feeds to
-//! worker threads. Each worker explores its subtrees depth-first with a
-//! local collector; a shared atomic counter enforces the global schedule
+//! worker threads. Each worker explores its subtrees with the sequential
+//! [`DfsEnumeration`](crate::explore::DfsEnumeration) visitor over a
+//! worker collector, which claims every terminal from the shared schedule
 //! budget; per-worker results are merged exactly (set unions) at the end.
 //!
 //! Parallel enumeration has no reduction — it is the scale-out version of
-//! [`DfsEnumeration`](crate::explore::DfsEnumeration) for hunting bugs in
-//! larger schedule spaces, and demonstrates that the substrate (executor
-//! snapshots, clock engines, collectors) is `Send`-clean.
+//! `DfsEnumeration` for hunting bugs in larger schedule spaces. The static
+//! frontier is deliberate: the work-stealing
+//! [`ParallelDpor`](crate::explore::ParallelDpor) frames (reference-counted,
+//! lock-guarded, published on a deque) would give the same counts, but
+//! their per-frame cost roughly halves the throughput of plain
+//! enumeration.
 
 use crate::config::ExploreConfig;
+use crate::explore::dfs::DfsCtx;
 use crate::explore::Explorer;
-use crate::stats::{Collector, Continue, ExploreStats};
+use crate::stats::{Collector, Continue, ExploreStats, SharedBudget};
 use lazylocks_model::{Program, ThreadId};
+use lazylocks_obs::ids;
 use lazylocks_runtime::{Event, ExecPhase, Executor};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// The parallel DFS explorer.
@@ -38,6 +43,16 @@ struct WorkItem<'p> {
     preemptions: u32,
 }
 
+/// Resolves a `workers` parameter: `0` means the machine's available
+/// parallelism.
+pub(crate) fn worker_count(workers: usize) -> usize {
+    if workers == 0 {
+        std::thread::available_parallelism().map_or(4, |n| n.get())
+    } else {
+        workers
+    }
+}
+
 impl Explorer for ParallelDfs {
     fn name(&self) -> String {
         "parallel-dfs".to_string()
@@ -45,120 +60,33 @@ impl Explorer for ParallelDfs {
 
     fn explore(&self, program: &Program, config: &ExploreConfig) -> ExploreStats {
         let start = Instant::now();
-        let workers = if self.workers == 0 {
-            std::thread::available_parallelism().map_or(4, |n| n.get())
-        } else {
-            self.workers
-        };
-
+        let workers = worker_count(self.workers);
         let mut root_collector = Collector::new(config);
-        let budget = AtomicUsize::new(0);
-        let stop = AtomicBool::new(false);
+        let queue = Mutex::new(expand_frontier(program, &mut root_collector, workers * 4));
 
-        // --- frontier expansion (sequential BFS near the root) ---
-        let mut frontier: VecDeque<WorkItem> = VecDeque::new();
-        frontier.push_back(WorkItem {
-            exec: Executor::new(program),
-            trace: Vec::new(),
-            schedule: Vec::new(),
-            last: None,
-            preemptions: 0,
-        });
-        let target = workers * 4;
-        while frontier.len() < target {
-            if root_collector.cancel_requested() {
-                break;
-            }
-            let Some(item) = frontier.pop_front() else {
-                break;
-            };
-            if !matches!(item.exec.phase(), ExecPhase::Running) {
-                // Terminal during expansion: record directly.
-                if record_with_budget(
-                    &mut root_collector,
-                    program,
-                    &item.exec,
-                    &item.trace,
-                    &item.schedule,
-                    &budget,
-                    config,
-                ) == Continue::Stop
-                {
-                    stop.store(true, Ordering::Relaxed);
-                }
-                continue;
-            }
-            if item.trace.len() >= config.max_run_length {
-                root_collector.record_truncated();
-                continue;
-            }
-            let mut expanded = false;
-            for t in item.exec.enabled_iter() {
-                let preempt = item.last.is_some_and(|l| l != t && item.exec.is_enabled(l));
-                let p = item.preemptions + u32::from(preempt);
-                if let Some(bound) = config.preemption_bound {
-                    if p > bound {
-                        root_collector.stats.bound_prunes += 1;
-                        continue;
-                    }
-                }
-                let mut child = item.exec.clone();
-                let out = child.step(t);
-                let mut trace = item.trace.clone();
-                let mut schedule = item.schedule.clone();
-                schedule.push(t);
-                if let Some(e) = out.event {
-                    trace.push(e);
-                }
-                frontier.push_back(WorkItem {
-                    exec: child,
-                    trace,
-                    schedule,
-                    last: Some(t),
-                    preemptions: p,
-                });
-                expanded = true;
-            }
-            if !expanded {
-                // Every choice was pruned by the bound; nothing to explore.
-                continue;
-            }
-            if stop.load(Ordering::Relaxed) {
-                break;
-            }
-        }
-
-        // --- parallel phase ---
-        let queue: Mutex<VecDeque<WorkItem>> = Mutex::new(frontier);
-
+        config.metrics.shard().set(ids::WORKERS, workers as u64);
+        let budget = Arc::new(SharedBudget::default());
         let worker_results: Vec<Collector> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
-                .map(|_| {
+                .map(|w| {
                     let queue = &queue;
-                    let budget = &budget;
-                    let stop = &stop;
+                    let budget = budget.clone();
                     scope.spawn(move || {
-                        let mut collector = Collector::new(config);
+                        let collector = Collector::new_for_worker(config, w as u32, budget);
+                        let mut ctx = DfsCtx::new(program, collector);
                         loop {
-                            if stop.load(Ordering::Relaxed) {
-                                break;
-                            }
                             let item = queue.lock().expect("queue poisoned").pop_front();
                             let Some(item) = item else {
                                 break;
                             };
-                            let mut ctx = WorkerCtx {
-                                program,
-                                collector: &mut collector,
-                                trace: item.trace,
-                                schedule: item.schedule,
-                                budget,
-                                stop,
-                                config,
-                            };
-                            ctx.visit(&item.exec, item.last, item.preemptions);
+                            ctx.trace = item.trace;
+                            ctx.schedule = item.schedule;
+                            if ctx.visit(&item.exec, item.last, item.preemptions) == Continue::Stop
+                            {
+                                break;
+                            }
                         }
-                        collector
+                        ctx.collector
                     })
                 })
                 .collect();
@@ -172,98 +100,61 @@ impl Explorer for ParallelDfs {
             root_collector.merge(w);
         }
         let mut stats = root_collector.into_stats();
-        if budget.load(Ordering::Relaxed) >= config.schedule_limit {
-            stats.limit_hit = true;
-        }
+        stats.workers = workers as u32;
         stats.wall_time = start.elapsed();
         stats
     }
 }
 
-/// Claims one unit of the global schedule budget, then records the
-/// terminal locally. Returns `Stop` when the budget is exhausted or the
-/// collector says so (stop-on-bug).
-fn record_with_budget(
-    collector: &mut Collector,
-    program: &Program,
-    exec: &Executor,
-    trace: &[Event],
-    schedule: &[ThreadId],
-    budget: &AtomicUsize,
-    config: &ExploreConfig,
-) -> Continue {
-    let claimed = budget.fetch_add(1, Ordering::Relaxed);
-    if claimed >= config.schedule_limit {
-        return Continue::Stop;
-    }
-    collector.record_terminal(program, exec, trace, schedule)
-}
-
-struct WorkerCtx<'a, 'p> {
+/// Expands the schedule tree breadth-first from the root until the
+/// frontier holds `target` subtree roots. Terminal and run-length-capped
+/// nodes are not expanded but stay in the result, so the workers' visitor
+/// records them like any other leaf.
+fn expand_frontier<'p>(
     program: &'p Program,
-    collector: &'a mut Collector,
-    trace: Vec<Event>,
-    schedule: Vec<ThreadId>,
-    budget: &'a AtomicUsize,
-    stop: &'a AtomicBool,
-    config: &'a ExploreConfig,
-}
-
-impl<'p> WorkerCtx<'_, 'p> {
-    fn visit(&mut self, exec: &Executor<'p>, last: Option<ThreadId>, preemptions: u32) -> Continue {
-        if self.stop.load(Ordering::Relaxed) {
-            return Continue::Stop;
+    collector: &mut Collector,
+    target: usize,
+) -> VecDeque<WorkItem<'p>> {
+    let mut frontier = VecDeque::from([WorkItem {
+        exec: Executor::new(program),
+        trace: Vec::new(),
+        schedule: Vec::new(),
+        last: None,
+        preemptions: 0,
+    }]);
+    let mut settled = VecDeque::new();
+    while frontier.len() < target && !collector.stop_requested() {
+        let Some(item) = frontier.pop_front() else {
+            break;
+        };
+        if !matches!(item.exec.phase(), ExecPhase::Running)
+            || item.trace.len() >= collector.config().max_run_length
+        {
+            settled.push_back(item);
+            continue;
         }
-        if self.collector.cancel_requested() {
-            self.stop.store(true, Ordering::Relaxed);
-            return Continue::Stop;
-        }
-        if !matches!(exec.phase(), ExecPhase::Running) {
-            let cont = record_with_budget(
-                self.collector,
-                self.program,
+        for t in item.exec.enabled_iter() {
+            let Some(preemptions) =
+                collector.admit_choice(&item.exec, item.last, t, item.preemptions)
+            else {
+                continue;
+            };
+            let mut exec = item.exec.clone();
+            let mut trace = item.trace.clone();
+            trace.extend(exec.step(t).event);
+            let mut schedule = item.schedule.clone();
+            schedule.push(t);
+            frontier.push_back(WorkItem {
                 exec,
-                &self.trace,
-                &self.schedule,
-                self.budget,
-                self.config,
-            );
-            if cont == Continue::Stop {
-                self.stop.store(true, Ordering::Relaxed);
-            }
-            return cont;
+                trace,
+                schedule,
+                last: Some(t),
+                preemptions,
+            });
         }
-        if self.trace.len() >= self.config.max_run_length {
-            self.collector.record_truncated();
-            return Continue::Yes;
-        }
-        for t in exec.enabled_iter() {
-            let preempt = last.is_some_and(|l| l != t && exec.is_enabled(l));
-            let p = preemptions + u32::from(preempt);
-            if let Some(bound) = self.config.preemption_bound {
-                if p > bound {
-                    self.collector.stats.bound_prunes += 1;
-                    continue;
-                }
-            }
-            let mut child = exec.clone();
-            let out = child.step(t);
-            self.schedule.push(t);
-            let pushed = out.event.is_some();
-            if let Some(e) = out.event {
-                self.trace.push(e);
-            }
-            let cont = self.visit(&child, Some(t), p);
-            if pushed {
-                self.trace.pop();
-            }
-            self.schedule.pop();
-            if cont == Continue::Stop {
-                return Continue::Stop;
-            }
-        }
-        Continue::Yes
     }
+    settled.extend(frontier);
+    settled
 }
 
 #[cfg(test)]
@@ -271,6 +162,7 @@ mod tests {
     use super::*;
     use crate::explore::dfs::DfsEnumeration;
     use lazylocks_model::{ProgramBuilder, Reg};
+    use lazylocks_obs::MetricsHandle;
 
     fn counter_program(threads: usize) -> Program {
         let mut b = ProgramBuilder::new("counters");
@@ -293,12 +185,21 @@ mod tests {
         let seq = DfsEnumeration.explore(&p, &cfg);
         assert!(!seq.limit_hit);
         for workers in [1, 2, 4] {
-            let par = ParallelDfs { workers }.explore(&p, &cfg);
+            let metrics = MetricsHandle::enabled();
+            let par =
+                ParallelDfs { workers }.explore(&p, &cfg.clone().with_metrics(metrics.clone()));
             assert_eq!(par.schedules, seq.schedules, "workers={workers}");
             assert_eq!(par.unique_states, seq.unique_states);
             assert_eq!(par.unique_hbrs, seq.unique_hbrs);
             assert_eq!(par.unique_lazy_hbrs, seq.unique_lazy_hbrs);
             assert_eq!(par.events, seq.events);
+            assert_eq!(par.workers, workers as u32);
+            let snap = metrics.snapshot().unwrap();
+            assert_eq!(snap.value("lazylocks_workers"), workers as u64);
+            assert!(snap.value("lazylocks_phase_executor_step_ns") > 0);
+            let schedules = snap.get("lazylocks_schedules_total").unwrap();
+            assert_eq!(schedules.per_worker.len(), workers);
+            assert_eq!(schedules.total.count(), seq.schedules as u64);
         }
     }
 
@@ -323,6 +224,7 @@ mod tests {
         let stats = ParallelDfs { workers: 2 }.explore(&p, &ExploreConfig::with_limit(10_000));
         assert!(stats.found_bug());
         assert!(stats.faulted_schedules > 0);
+        assert_eq!(stats.workers, 2);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Parallel (lazy-)DPOR: DPOR subtrees sharded across a worker pool.
 //!
-//! The sequential DPOR engines ([`Dpor`](crate::explore::Dpor),
-//! [`LazyDpor`](crate::explore::LazyDpor)) walk the reduced schedule tree
-//! depth-first; when a frame accumulates several unexplored backtrack
-//! choices, the siblings wait for the owning worker's pass. This driver
+//! The sequential DPOR engine ([`Dpor`](crate::explore::Dpor), under any
+//! [`DependenceMode`]) walks the reduced schedule tree depth-first; when
+//! a frame accumulates several unexplored backtrack choices, the siblings
+//! wait for the owning worker's pass. This driver
 //! lets idle workers *steal* those siblings: every frame is a
 //! reference-counted node whose backtrack/done sets live behind a lock,
 //! and a frame with claimable choices left over is published on a shared
@@ -11,7 +11,7 @@
 //! from the frame's parent chain — executor snapshot, clock engine and
 //! sleep set travel with the node — claims one choice under the frame's
 //! lock, and explores that subtree depth-first with the same
-//! [`DporCore`] hot loop the sequential engines use (including the shared
+//! [`DporCore`] hot loop the sequential engine uses (including the shared
 //! [frame pool](crate::explore::frame_pool), reclaimed here via
 //! `Arc::try_unwrap` when a popped frame has no other holders).
 //!
@@ -43,14 +43,15 @@
 use crate::config::ExploreConfig;
 use crate::explore::dpor::{BacktrackInsert, DependenceMode, DporCore, FrameStack, Stepped};
 use crate::explore::frame_pool::FrameBody;
+use crate::explore::parallel::worker_count;
 use crate::explore::Explorer;
-use crate::stats::{Collector, Continue, ExploreStats};
+use crate::stats::{Collector, Continue, ExploreStats, SharedBudget};
 use lazylocks_hbr::ClockEngine;
 use lazylocks_model::{Program, ThreadId, ThreadSet};
 use lazylocks_obs::{ids, MetricsShard};
 use lazylocks_runtime::{Event, ExecPhase, Executor};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -93,11 +94,7 @@ impl Explorer for ParallelDpor {
             "DPOR supports at most {} threads",
             ThreadSet::MAX_THREADS
         );
-        let workers = if self.workers == 0 {
-            std::thread::available_parallelism().map_or(4, |n| n.get())
-        } else {
-            self.workers
-        };
+        let workers = worker_count(self.workers);
 
         let mut root_collector = Collector::new(config);
         let root_exec = Executor::new(program);
@@ -135,10 +132,8 @@ impl Explorer for ParallelDpor {
                 active: 0,
             }),
             cv: Condvar::new(),
-            budget: AtomicUsize::new(0),
-            stop: AtomicBool::new(false),
+            budget: Arc::new(SharedBudget::default()),
             stolen: AtomicU64::new(0),
-            limit: config.schedule_limit,
         };
 
         config.metrics.shard().set(ids::WORKERS, workers as u64);
@@ -165,9 +160,6 @@ impl Explorer for ParallelDpor {
         let mut stats = root_collector.into_stats();
         stats.subtrees_stolen = shared.stolen.load(Ordering::Relaxed);
         stats.workers = workers as u32;
-        if shared.budget.load(Ordering::Relaxed) >= config.schedule_limit {
-            stats.limit_hit = true;
-        }
         stats.wall_time = start.elapsed();
         stats
     }
@@ -212,13 +204,12 @@ struct QueueState<'p> {
 struct Shared<'p> {
     state: Mutex<QueueState<'p>>,
     cv: Condvar,
-    /// Global schedule budget, claimed before each terminal is recorded.
-    budget: AtomicUsize,
-    stop: AtomicBool,
+    /// Global schedule budget and stop flag, shared by the worker
+    /// collectors.
+    budget: Arc<SharedBudget>,
     /// Productive deque pops: pops whose walk claimed at least one
     /// choice (counted at the first claim, not at pop time).
     stolen: AtomicU64,
-    limit: usize,
 }
 
 impl<'p> Shared<'p> {
@@ -230,7 +221,7 @@ impl<'p> Shared<'p> {
     }
 
     fn request_stop(&self) {
-        self.stop.store(true, Ordering::Relaxed);
+        self.budget.stop();
         self.cv.notify_all();
     }
 }
@@ -363,7 +354,7 @@ fn worker_loop<'p>(
     dependence: DependenceMode,
     worker: u32,
 ) -> Collector {
-    let mut collector = Collector::new_for_worker(config, worker);
+    let mut collector = Collector::new_for_worker(config, worker, shared.budget.clone());
     let shard = collector.shard().clone();
     // Per-worker site slab, merged into the registry snapshot like the
     // metrics shards. Reschedule attribution stays off: the parallel
@@ -385,7 +376,7 @@ fn worker_loop<'p>(
         let node = {
             let mut st = shared.state.lock().expect("queue poisoned");
             loop {
-                if shared.stop.load(Ordering::Relaxed) {
+                if shared.budget.stopped() {
                     break None;
                 }
                 if let Some(n) = st.queue.pop_front() {
@@ -481,10 +472,7 @@ fn process<'p>(
     let run_cap = collector.config().max_run_length;
     let mut claimed_any = false;
     while !frames.stack.is_empty() {
-        if shared.stop.load(Ordering::Relaxed) {
-            return;
-        }
-        if collector.cancel_requested() {
+        if collector.stop_requested() {
             shared.request_stop();
             return;
         }
@@ -517,17 +505,7 @@ fn process<'p>(
                     collector.record_truncated();
                     Continue::Yes
                 } else {
-                    let claimed = shared.budget.fetch_add(1, Ordering::Relaxed);
-                    if claimed >= shared.limit {
-                        Continue::Stop
-                    } else {
-                        collector.record_terminal(
-                            core.program,
-                            &body.exec,
-                            &core.trace,
-                            &core.schedule,
-                        )
-                    }
+                    collector.record_terminal(core.program, &body.exec, &core.trace, &core.schedule)
                 };
                 core.finish_leaf(body, pushed_event);
                 if cont == Continue::Stop {
@@ -543,7 +521,6 @@ fn process<'p>(
 mod tests {
     use super::*;
     use crate::explore::dpor::Dpor;
-    use crate::explore::lazy_dpor::LazyDpor;
     use lazylocks_model::{ProgramBuilder, Reg};
 
     fn counter_program(threads: usize) -> Program {
@@ -607,7 +584,11 @@ mod tests {
     fn lazy_reduction_matches_sequential_lazy_dpor() {
         let p = abba();
         let cfg = ExploreConfig::with_limit(100_000);
-        let seq = LazyDpor::default().explore(&p, &cfg);
+        let seq = Dpor {
+            sleep_sets: false,
+            dependence: DependenceMode::LazyLockAcquisitions,
+        }
+        .explore(&p, &cfg);
         for workers in [1, 3] {
             let par = ParallelDpor {
                 workers,

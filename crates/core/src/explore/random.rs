@@ -6,7 +6,7 @@
 //! smoke-testing large programs.
 
 use crate::config::ExploreConfig;
-use crate::explore::Explorer;
+use crate::explore::{preemptions_after, Explorer};
 use crate::rng::SplitMix64;
 use crate::stats::{Collector, Continue, ExploreStats};
 use lazylocks_model::{Program, ThreadId, ThreadSet};
@@ -28,7 +28,7 @@ impl Explorer for RandomWalk {
         let mut collector = Collector::new(config);
         let mut rng = SplitMix64::new(config.seed);
 
-        'walks: while !collector.budget_exhausted() && !collector.cancel_requested() {
+        'walks: while !collector.budget_exhausted() && !collector.stop_requested() {
             let mut exec = Executor::new(program);
             let mut trace: Vec<Event> = Vec::new();
             let mut schedule: Vec<ThreadId> = Vec::new();
@@ -52,16 +52,14 @@ impl Explorer for RandomWalk {
                     break;
                 }
 
-                let enabled = exec.enabled_set();
                 // Respect the preemption bound by restricting the choice
                 // set once the budget is spent.
-                let choices: ThreadSet = match config.preemption_bound {
-                    Some(bound) if preemptions >= bound => enabled
-                        .iter()
-                        .filter(|&t| !last.is_some_and(|l| l != t && exec.is_enabled(l)))
-                        .collect(),
-                    _ => enabled,
-                };
+                let admitted =
+                    |t| preemptions_after(config.preemption_bound, &exec, last, t, preemptions);
+                let choices: ThreadSet = exec
+                    .enabled_iter()
+                    .filter(|&t| admitted(t).is_some())
+                    .collect();
                 debug_assert!(
                     !choices.is_empty(),
                     "continuing the running thread is never a preemption"
@@ -69,9 +67,7 @@ impl Explorer for RandomWalk {
                 let t = choices
                     .nth(rng.gen_range(choices.len()))
                     .expect("choice index in range");
-                if last.is_some_and(|l| l != t && exec.is_enabled(l)) {
-                    preemptions += 1;
-                }
+                preemptions = admitted(t).expect("the choice was admitted");
                 let step_timer = collector.shard().timer_start(ids::PHASE_EXECUTOR_STEP);
                 let out = exec.step(t);
                 collector

@@ -108,7 +108,7 @@ pub use checkpoint::{CheckpointState, FrameSets};
 pub use config::ExploreConfig;
 pub use explore::{
     BoundedRun, DependenceMode, DfsEnumeration, Dpor, Explorer, HbrCaching, IterativeBounding,
-    LazyDpor, LazyDporStyle, ParallelDfs, ParallelDpor, RandomWalk,
+    ParallelDfs, ParallelDpor, RandomWalk,
 };
 pub use minimize::minimize_schedule;
 pub use race::{detect_races, is_race_free, RaceReport};

@@ -25,8 +25,8 @@
 //! ```
 
 use crate::explore::{
-    DependenceMode, DfsEnumeration, Dpor, Explorer, HbrCaching, IterativeBounding, LazyDpor,
-    LazyDporStyle, ParallelDfs, ParallelDpor, RandomWalk,
+    DependenceMode, DfsEnumeration, Dpor, Explorer, HbrCaching, IterativeBounding, ParallelDfs,
+    ParallelDpor, RandomWalk,
 };
 use lazylocks_hbr::HbMode;
 use std::collections::BTreeMap;
@@ -295,15 +295,21 @@ impl Default for StrategyRegistry {
         r.register(
             "lazy-dpor",
             "prototype lazy DPOR (paper §4) [style=locks/vars]",
+            // `dpor` under a lazy dependence, with sleep sets off (see
+            // `DependenceMode::LazyLockAcquisitions` for why); `sleep=` is
+            // rejected as an unknown parameter.
             |p| {
-                let style = match p
+                let dependence = match p
                     .take_choice("style", &["locks", "vars"], "locks")?
                     .as_str()
                 {
-                    "vars" => LazyDporStyle::VarsOnly,
-                    _ => LazyDporStyle::LockAcquisitions,
+                    "vars" => DependenceMode::LazyVarsOnly,
+                    _ => DependenceMode::LazyLockAcquisitions,
                 };
-                Ok(Box::new(LazyDpor { style }))
+                Ok(Box::new(Dpor {
+                    sleep_sets: false,
+                    dependence,
+                }))
             },
         );
         r.register(
@@ -316,7 +322,8 @@ impl Default for StrategyRegistry {
         );
         r.register(
             "parallel",
-            "work-stealing exploration across OS threads \
+            "exploration across OS threads: DFS over a static frontier, \
+             or work-stealing (lazy-)DPOR \
              [workers=N (0=auto), reduction=none/dpor/lazy, sleep=bool]",
             |p| {
                 let workers = p.take_usize("workers", 0)?;

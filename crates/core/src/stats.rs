@@ -3,11 +3,14 @@
 use crate::bug::{BugKind, BugReport};
 use crate::checkpoint::CheckpointState;
 use crate::config::ExploreConfig;
+use crate::explore::preemptions_after;
 use lazylocks_hbr::{ClockEngine, HbMode};
 use lazylocks_model::{Program, ThreadId};
 use lazylocks_obs::{ids, pack_prefix, MetricsShard, ProfileDims, ProfileLeaf};
 use lazylocks_runtime::{Event, ExecPhase, Executor};
 use std::collections::HashSet;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Counters reported by every exploration strategy.
@@ -163,6 +166,39 @@ pub(crate) struct Collector {
     /// Stats values already mirrored to the shard, so repeated syncs (and
     /// merged-in collectors that synced themselves) are not re-counted.
     mirrored: MirroredCounters,
+    /// The schedule budget and stop flag this collector shares with the
+    /// other workers of a parallel exploration (`None` when it is the
+    /// only collector).
+    shared: Option<Arc<SharedBudget>>,
+}
+
+/// The schedule budget and stop flag of a parallel exploration, shared
+/// by its worker collectors: each terminal claims one unit of
+/// [`ExploreConfig::schedule_limit`] before it is recorded, and the first
+/// worker to stop (budget spent, stop-on-bug) stops them all.
+#[derive(Debug, Default)]
+pub(crate) struct SharedBudget {
+    /// Written at every terminal by every worker, so it gets a cache line
+    /// of its own, away from `stop`, which every worker reads at every
+    /// node.
+    claimed: CacheLine<AtomicUsize>,
+    stop: AtomicBool,
+}
+
+#[derive(Debug, Default)]
+#[repr(align(128))]
+struct CacheLine<T>(T);
+
+impl SharedBudget {
+    /// Asks every worker sharing the budget to stop.
+    pub(crate) fn stop(&self) {
+        self.stop.store(true, Ordering::Relaxed);
+    }
+
+    /// `true` once some worker asked the others to stop.
+    pub(crate) fn stopped(&self) -> bool {
+        self.stop.load(Ordering::Relaxed)
+    }
 }
 
 /// The dense slab shape the profiler needs for `program` — per-thread
@@ -204,11 +240,18 @@ impl Collector {
         Collector::with_shard(config, shard)
     }
 
-    /// A collector recording into a worker-labelled shard — the parallel
-    /// explorer's per-worker breakdowns.
-    pub(crate) fn new_for_worker(config: &ExploreConfig, worker: u32) -> Self {
+    /// A parallel worker's collector: it records into a worker-labelled
+    /// shard (the per-worker breakdowns) and claims each terminal from
+    /// the schedule budget it shares with the other workers.
+    pub(crate) fn new_for_worker(
+        config: &ExploreConfig,
+        worker: u32,
+        budget: Arc<SharedBudget>,
+    ) -> Self {
         let shard = config.metrics.worker_shard(worker);
-        Collector::with_shard(config, shard)
+        let mut collector = Collector::with_shard(config, shard);
+        collector.shared = Some(budget);
+        collector
     }
 
     fn with_shard(config: &ExploreConfig, shard: MetricsShard) -> Self {
@@ -223,6 +266,7 @@ impl Collector {
             shard,
             profile: config.profile.leaf_shard(),
             mirrored: MirroredCounters::default(),
+            shared: None,
         }
     }
 
@@ -241,11 +285,12 @@ impl Collector {
         self.stats.schedules >= self.config.schedule_limit
     }
 
-    /// Cooperative cancellation poll, called by every strategy's main
-    /// loop: `true` once the config's control (token, deadline or an
-    /// observer vote) asks the exploration to stop. Records the
-    /// truncation in [`ExploreStats::cancelled`].
-    pub(crate) fn cancel_requested(&mut self) -> bool {
+    /// Cooperative stop poll, called by every strategy's main loop:
+    /// `true` once the config's control (token, deadline or an observer
+    /// vote) asks the exploration to stop, which is recorded in
+    /// [`ExploreStats::cancelled`], or once another worker sharing this
+    /// collector's budget has stopped.
+    pub(crate) fn stop_requested(&mut self) -> bool {
         if self.stats.cancelled {
             return true;
         }
@@ -253,11 +298,64 @@ impl Collector {
             self.stats.cancelled = true;
             return true;
         }
-        false
+        self.shared.as_ref().is_some_and(|budget| budget.stopped())
     }
 
-    /// Records one terminal execution.
+    /// Admits the choice of stepping `t` next under the preemption bound:
+    /// the path's preemption count after the step, or `None` (counted in
+    /// [`ExploreStats::bound_prunes`]) when the bound forbids it.
+    #[inline]
+    pub(crate) fn admit_choice(
+        &mut self,
+        exec: &Executor,
+        last: Option<ThreadId>,
+        t: ThreadId,
+        preemptions: u32,
+    ) -> Option<u32> {
+        let admitted = preemptions_after(self.config.preemption_bound, exec, last, t, preemptions);
+        if admitted.is_none() {
+            self.stats.bound_prunes += 1;
+        }
+        admitted
+    }
+
+    /// Records one terminal execution, claiming it from the schedule
+    /// budget (the shared one, for a worker collector). Returns `Stop`
+    /// once the budget is spent or the exploration must stop; a worker's
+    /// stop stops every worker.
     pub(crate) fn record_terminal(
+        &mut self,
+        program: &Program,
+        exec: &Executor,
+        trace: &[Event],
+        schedule: &[ThreadId],
+    ) -> Continue {
+        let limit = self.config.schedule_limit;
+        let used = match &self.shared {
+            Some(budget) => {
+                let used = budget.claimed.0.fetch_add(1, Ordering::Relaxed) + 1;
+                if used > limit {
+                    // Another worker recorded the last schedule.
+                    self.stats.limit_hit = true;
+                    budget.stop();
+                    return Continue::Stop;
+                }
+                used
+            }
+            None => self.stats.schedules + 1,
+        };
+        let mut cont = self.record_leaf(program, exec, trace, schedule);
+        if cont == Continue::Yes && used >= limit {
+            self.stats.limit_hit = true;
+            cont = Continue::Stop;
+        }
+        if let (Continue::Stop, Some(budget)) = (cont, &self.shared) {
+            budget.stop();
+        }
+        cont
+    }
+
+    fn record_leaf(
         &mut self,
         program: &Program,
         exec: &Executor,
@@ -344,11 +442,7 @@ impl Collector {
         }
 
         self.config.control.note_schedule(&self.stats);
-        if self.cancel_requested() {
-            return Continue::Stop;
-        }
-        if self.budget_exhausted() {
-            self.stats.limit_hit = true;
+        if self.stop_requested() {
             return Continue::Stop;
         }
         Continue::Yes

@@ -32,8 +32,8 @@ use crate::json::Json;
 use lazylocks::checkpoint::{CheckpointState, FrameSets};
 use lazylocks::obs::{ids, MetricsHandle, MetricsShard};
 use lazylocks::{BugReport, Observer};
-use lazylocks_model::{Program, ThreadId};
-use lazylocks_runtime::program_fingerprint;
+use lazylocks_model::{Program, ThreadId, ThreadSet};
+use lazylocks_runtime::{program_fingerprint, ExecPhase, Executor};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
@@ -223,7 +223,9 @@ impl CheckpointDoc {
     }
 
     /// Checks the document against the program/strategy/seed of the run
-    /// about to resume; an error names the first mismatch.
+    /// about to resume, and its frontier against the program: thread ids,
+    /// per-frame sets and a replay of the schedule. An error names the
+    /// first mismatch.
     pub fn check_matches(&self, program: &Program, spec: &str, seed: u64) -> Result<(), String> {
         let fp = program_fingerprint(program);
         if self.program_fingerprint != fp {
@@ -246,8 +248,56 @@ impl CheckpointDoc {
                 self.seed
             ));
         }
-        Ok(())
+        check_frontier(&self.state, program)
     }
+}
+
+/// Checks a frontier against the program it is to resume on, so that a
+/// document whose fingerprint matches but whose frontier was corrupted or
+/// forged is refused instead of crashing the engine: every schedule
+/// choice names one of the program's threads, every per-frame set lies
+/// within the program's threads, and replaying the schedule on a fresh
+/// executor steps only enabled threads and leaves the program running.
+fn check_frontier(state: &CheckpointState, program: &Program) -> Result<(), String> {
+    let threads = program.thread_count();
+    if let Some((i, t)) = state
+        .schedule
+        .iter()
+        .enumerate()
+        .find(|(_, t)| t.index() >= threads)
+    {
+        return Err(format!(
+            "checkpoint schedule step {i} names thread {t}, but the program has {threads} threads"
+        ));
+    }
+    let mask = ThreadSet::first_n(threads.min(ThreadSet::MAX_THREADS)).bits();
+    for (i, sets) in state.frames.iter().enumerate() {
+        for (name, bits) in [
+            ("backtrack", sets.backtrack),
+            ("done", sets.done),
+            ("sleep", sets.sleep),
+        ] {
+            if bits & !mask != 0 {
+                return Err(format!(
+                    "checkpoint frame {i} has a {name} set {bits:#x} beyond the program's \
+                     {threads} threads"
+                ));
+            }
+        }
+    }
+    let mut exec = Executor::new(program);
+    for (i, &t) in state.schedule.iter().enumerate() {
+        if !exec.is_enabled(t) {
+            return Err(format!(
+                "checkpoint schedule step {i} chooses {t}, which is not enabled there"
+            ));
+        }
+        exec.step(t);
+    }
+    if !matches!(exec.phase(), ExecPhase::Running) {
+        return Err("checkpoint schedule ends where the program has stopped running".to_string());
+    }
+    Ok(())
 }
 
 fn schema(field: &'static str, message: impl Into<String>) -> ArtifactError {
@@ -479,9 +529,12 @@ mod tests {
 
     #[test]
     fn check_matches_names_the_mismatch() {
+        // Three threads, so the sample frontier fits the program.
         let mut b = ProgramBuilder::new("other");
         let x = b.var("x", 0);
         b.thread("T1", |t| t.store(x, 1));
+        b.thread("T2", |t| t.store(x, 2));
+        b.thread("T3", |t| t.store(x, 3));
         let p = b.build();
         let doc = sample_doc();
         let err = doc.check_matches(&p, "dpor(sleep=true)", 7).unwrap_err();

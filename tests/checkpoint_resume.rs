@@ -7,8 +7,10 @@
 //! disk carries everything a fresh process needs to finish the search
 //! with identical statistics.
 
-use lazylocks::{ExploreConfig, ExploreSession, ExploreStats};
-use lazylocks_trace::{load_checkpoint, CheckpointWriter, CHECKPOINT_FILE};
+use lazylocks::{ExploreConfig, ExploreSession, ExploreStats, FrameSets};
+use lazylocks_model::ThreadId;
+use lazylocks_runtime::Executor;
+use lazylocks_trace::{load_checkpoint, CheckpointDoc, CheckpointWriter, CHECKPOINT_FILE};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -167,4 +169,57 @@ fn resume_refuses_a_foreign_checkpoint() {
         .unwrap_err();
     assert!(err.contains("seed"), "{err}");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A genuine mid-search checkpoint of `philosophers-naive-4`, for the
+/// forged-frontier probes below.
+fn philosophers_checkpoint(tag: &str) -> (lazylocks_suite::Benchmark, CheckpointDoc) {
+    let bench = lazylocks_suite::by_name("philosophers-naive-4").expect("bench exists");
+    let dir = temp_dir(tag);
+    let writer = CheckpointWriter::new(&dir, &bench.program, SPEC, SEED).unwrap();
+    ExploreSession::new(&bench.program)
+        .with_config(
+            ExploreConfig::with_limit(50)
+                .seeded(SEED)
+                .checkpointing_every(10),
+        )
+        .observe_arc(Arc::new(writer))
+        .run_spec(SPEC)
+        .unwrap();
+    let doc = load_checkpoint(&dir).unwrap().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    doc.check_matches(&bench.program, SPEC, SEED).unwrap();
+    assert!(doc.state.schedule.len() > 1, "checkpoint is mid-search");
+    (bench, doc)
+}
+
+#[test]
+fn resume_refuses_a_schedule_naming_a_missing_thread() {
+    let (bench, mut doc) = philosophers_checkpoint("missing-thread");
+    doc.state.schedule[0] = ThreadId(9);
+    let err = doc.check_matches(&bench.program, SPEC, SEED).unwrap_err();
+    assert!(err.contains("thread t9"), "{err}");
+}
+
+#[test]
+fn resume_refuses_a_thread_set_beyond_the_program() {
+    let (bench, mut doc) = philosophers_checkpoint("wide-set");
+    doc.state.frames.last_mut().unwrap().backtrack |= 1 << 40;
+    let err = doc.check_matches(&bench.program, SPEC, SEED).unwrap_err();
+    assert!(err.contains("backtrack"), "{err}");
+}
+
+#[test]
+fn resume_refuses_a_schedule_choosing_a_disabled_thread() {
+    let (bench, mut doc) = philosophers_checkpoint("disabled-choice");
+    // t1 takes its left fork, t0 its left fork; t0's right fork is t1's.
+    let choices = vec![ThreadId(1), ThreadId(0), ThreadId(0)];
+    let mut exec = Executor::new(&bench.program);
+    exec.step(choices[0]);
+    exec.step(choices[1]);
+    assert!(!exec.is_enabled(choices[2]), "the probe needs a blocked t0");
+    doc.state.frames = vec![FrameSets::default(); choices.len() + 1];
+    doc.state.schedule = choices;
+    let err = doc.check_matches(&bench.program, SPEC, SEED).unwrap_err();
+    assert!(err.contains("not enabled"), "{err}");
 }

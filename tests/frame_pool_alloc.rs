@@ -12,7 +12,7 @@
 //! The whole check lives in one `#[test]` so no concurrently running test
 //! can pollute the counter (this is the only test in this binary).
 
-use lazylocks::{Dpor, ExploreConfig, Explorer, LazyDpor, MetricsHandle, ProfileHandle};
+use lazylocks::{DependenceMode, Dpor, ExploreConfig, Explorer, MetricsHandle, ProfileHandle};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -88,7 +88,13 @@ fn steady_state_steps_allocate_zero_frame_bodies() {
     for (suffix, config) in &configs {
         for (label, explorer) in [
             ("dpor", Box::new(Dpor::default()) as Box<dyn Explorer>),
-            ("lazy-dpor", Box::new(LazyDpor::default())),
+            (
+                "lazy-dpor",
+                Box::new(Dpor {
+                    dependence: DependenceMode::LazyLockAcquisitions,
+                    ..Dpor::default()
+                }),
+            ),
         ] {
             let label = format!("{label}{suffix}");
             let (allocs, stats) = allocations_during(|| explorer.explore(&program, config));

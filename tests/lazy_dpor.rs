@@ -2,7 +2,7 @@
 //! work): how much reduction it buys and where it loses soundness, measured
 //! against exhaustive ground truth.
 
-use lazylocks::{Dpor, ExploreConfig, Explorer, LazyDpor, LazyDporStyle};
+use lazylocks::{DependenceMode, Dpor, ExploreConfig, Explorer};
 use lazylocks_integration::exhaustible_benchmarks;
 
 #[test]
@@ -12,7 +12,11 @@ fn lock_acquisition_style_preserves_states_on_the_exhaustible_corpus() {
     // every distinct terminal state.
     let mut reductions = Vec::new();
     for (bench, truth) in exhaustible_benchmarks(6_000) {
-        let lazy = LazyDpor::default().explore(&bench.program, &ExploreConfig::with_limit(200_000));
+        let lazy = Dpor {
+            dependence: DependenceMode::LazyLockAcquisitions,
+            ..Dpor::default()
+        }
+        .explore(&bench.program, &ExploreConfig::with_limit(200_000));
         assert!(!lazy.limit_hit, "{}", bench.name);
         assert_eq!(
             lazy.unique_states, truth.unique_states,
@@ -47,8 +51,9 @@ fn vars_only_style_documented_unsoundness_is_measurable() {
             continue;
         }
         subjects += 1;
-        let stats = LazyDpor {
-            style: LazyDporStyle::VarsOnly,
+        let stats = Dpor {
+            dependence: DependenceMode::LazyVarsOnly,
+            ..Dpor::default()
         }
         .explore(&bench.program, &ExploreConfig::with_limit(200_000));
         if stats.deadlocks == 0 {
@@ -75,11 +80,15 @@ fn aggregate_schedule_counts_shrink_with_laziness() {
     for (bench, _) in exhaustible_benchmarks(3_000) {
         let config = ExploreConfig::with_limit(200_000);
         total_regular += Dpor::default().explore(&bench.program, &config).schedules;
-        total_lazy += LazyDpor::default()
-            .explore(&bench.program, &config)
-            .schedules;
-        total_vars += LazyDpor {
-            style: LazyDporStyle::VarsOnly,
+        total_lazy += Dpor {
+            dependence: DependenceMode::LazyLockAcquisitions,
+            ..Dpor::default()
+        }
+        .explore(&bench.program, &config)
+        .schedules;
+        total_vars += Dpor {
+            dependence: DependenceMode::LazyVarsOnly,
+            ..Dpor::default()
         }
         .explore(&bench.program, &config)
         .schedules;
@@ -102,7 +111,11 @@ fn flagship_reduction_on_coarse_disjoint() {
         let bench = lazylocks_suite::by_name(&format!("coarse-disjoint-t{n}-r1")).unwrap();
         let config = ExploreConfig::with_limit(200_000);
         let regular = Dpor::default().explore(&bench.program, &config);
-        let lazy = LazyDpor::default().explore(&bench.program, &config);
+        let lazy = Dpor {
+            dependence: DependenceMode::LazyLockAcquisitions,
+            ..Dpor::default()
+        }
+        .explore(&bench.program, &config);
         let factorial: usize = (1..=n).product();
         assert_eq!(
             regular.schedules, factorial,

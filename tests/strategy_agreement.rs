@@ -91,6 +91,27 @@ fn parallel_dfs_matches_sequential_exactly() {
             bench.name
         );
         assert_eq!(stats.events, truth.events, "{}", bench.name);
+
+        // The preemption bound and the run-length cap prune and truncate
+        // exactly as in the sequential visitor.
+        let mut capped = ExploreConfig::with_limit(200_000);
+        capped.max_run_length = 6;
+        for config in [
+            ExploreConfig::with_limit(200_000).preemptions(0),
+            ExploreConfig::with_limit(200_000).preemptions(1),
+            capped,
+        ] {
+            let seq = DfsEnumeration.explore(&bench.program, &config);
+            let par = ParallelDfs { workers: 4 }.explore(&bench.program, &config);
+            let label = format!(
+                "{} (bound {:?}, cap {})",
+                bench.name, config.preemption_bound, config.max_run_length
+            );
+            assert_eq!(par.schedules, seq.schedules, "{label}");
+            assert_eq!(par.events, seq.events, "{label}");
+            assert_eq!(par.bound_prunes, seq.bound_prunes, "{label}");
+            assert_eq!(par.truncated_runs, seq.truncated_runs, "{label}");
+        }
     }
 }
 
