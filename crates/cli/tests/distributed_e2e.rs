@@ -9,8 +9,11 @@
 
 use lazylocks_server::Client;
 use lazylocks_trace::{FaultPlan, Json};
-use std::io::{BufRead, BufReader};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::process::{Child, Command, Stdio};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// The AB-BA deadlock, as wire-format `.llk` source.
@@ -207,6 +210,92 @@ impl Drop for Worker {
     }
 }
 
+/// A TCP relay in front of the coordinator that can hold slice uploads.
+///
+/// Every connection is relayed byte for byte until [`hold`] is armed;
+/// from then on a `POST /leases/<id>/result` is accepted but never
+/// forwarded or answered. A worker talking through the valve therefore
+/// still holds its lease — slice computed, result not delivered — for as
+/// long as the test likes, however fast the slice ran.
+///
+/// [`hold`]: UploadValve::hold
+struct UploadValve {
+    addr: String,
+    holding: Arc<AtomicBool>,
+    held: Arc<Mutex<Vec<TcpStream>>>,
+}
+
+impl UploadValve {
+    fn spawn(upstream: &str) -> UploadValve {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind the valve");
+        let addr = listener.local_addr().expect("valve address").to_string();
+        let holding = Arc::new(AtomicBool::new(false));
+        let held = Arc::new(Mutex::new(Vec::new()));
+        let upstream = upstream.to_string();
+        {
+            let (holding, held) = (holding.clone(), held.clone());
+            std::thread::spawn(move || {
+                for conn in listener.incoming().map_while(Result::ok) {
+                    let (upstream, holding, held) =
+                        (upstream.clone(), holding.clone(), held.clone());
+                    std::thread::spawn(move || relay(conn, &upstream, &holding, &held));
+                }
+            });
+        }
+        UploadValve {
+            addr,
+            holding,
+            held,
+        }
+    }
+
+    /// From now on, slice uploads are swallowed.
+    fn hold(&self) {
+        self.holding.store(true, Ordering::SeqCst);
+    }
+
+    /// Uploads swallowed so far.
+    fn held(&self) -> usize {
+        self.held.lock().unwrap().len()
+    }
+}
+
+/// Relays one `Connection: close` exchange, or parks it if it is a held
+/// slice upload.
+fn relay(mut conn: TcpStream, upstream: &str, holding: &AtomicBool, held: &Mutex<Vec<TcpStream>>) {
+    // Read at least the request line; whatever else arrived is forwarded.
+    let mut head = Vec::new();
+    let mut chunk = [0u8; 4096];
+    while !head.windows(2).any(|w| w == b"\r\n") {
+        match conn.read(&mut chunk) {
+            Ok(0) | Err(_) => return,
+            Ok(n) => head.extend_from_slice(&chunk[..n]),
+        }
+    }
+    let line = String::from_utf8_lossy(&head);
+    let line = line.lines().next().unwrap_or("");
+    if holding.load(Ordering::SeqCst)
+        && line.starts_with("POST /leases/")
+        && line.contains("/result ")
+    {
+        held.lock().unwrap().push(conn);
+        return;
+    }
+    let Ok(mut up) = TcpStream::connect(upstream) else {
+        return;
+    };
+    if up.write_all(&head).is_err() {
+        return;
+    }
+    let (mut conn_in, mut up_out) = (conn.try_clone().unwrap(), up.try_clone().unwrap());
+    std::thread::spawn(move || {
+        std::io::copy(&mut conn_in, &mut up_out).ok();
+        up_out.shutdown(Shutdown::Write).ok();
+    });
+    std::io::copy(&mut up, &mut conn).ok();
+    conn.shutdown(Shutdown::Both).ok();
+}
+
 fn job_body(program: &str, spec: &str, limit: usize) -> Json {
     Json::obj([
         ("program", Json::Str(program.to_string())),
@@ -375,8 +464,7 @@ fn every_fleet_size_produces_the_identical_document() {
 /// distributed run of the same body.
 #[test]
 fn sigkill_mid_lease_reassigns_and_preserves_the_result() {
-    // Slices big enough that a worker is almost always mid-slice; a
-    // short TTL so the dead holder is fenced quickly; a long grace so
+    // A short TTL so the dead holder is fenced quickly; a long grace so
     // recovery provably flows through worker reassignment, not the
     // coordinator's inline fallback.
     let daemon = Daemon::spawn(&[
@@ -391,20 +479,23 @@ fn sigkill_mid_lease_reassigns_and_preserves_the_result() {
     let client = daemon.client();
     let body = job_body(WIDE, "dpor(sleep=true)", 2_000);
 
+    // The victim talks to the coordinator through a valve, so the test
+    // decides when it is mid-lease instead of racing its slice.
+    let valve = UploadValve::spawn(&daemon.addr);
+    let mut victim_of = Worker::spawn(&valve.addr, &[]);
+
     // The uninterrupted reference, on the same coordinator.
-    let mut victim_of = Worker::spawn(&daemon.addr, &[]);
     let reference_id = client.submit(&body).expect("reference submit");
     let reference = client
         .wait(reference_id, Duration::from_millis(10))
         .expect("reference wait");
-    let granted_baseline = counter(&client, "lazylocks_leases_granted_total");
 
-    // Submit the victim, wait for its first grant, then kill -9 the
-    // holder mid-slice.
+    // Submit the victim and let the worker claim and compute its first
+    // slice; its upload is held, so the lease is still outstanding when
+    // the holder dies.
+    valve.hold();
     let victim = client.submit(&body).expect("victim submit");
-    wait_until("the victim's first lease grant", || {
-        counter(&client, "lazylocks_leases_granted_total") > granted_baseline
-    });
+    wait_until("the victim's first slice upload", || valve.held() > 0);
     victim_of.kill_nine();
 
     // The coordinator notices the silent holder at TTL expiry and fences
@@ -419,6 +510,11 @@ fn sigkill_mid_lease_reassigns_and_preserves_the_result() {
         .wait(victim, Duration::from_millis(10))
         .expect("victim wait");
     assert_eq!(detail.get("state").and_then(Json::as_str), Some("done"));
+    assert_eq!(
+        counter(&client, "lazylocks_lease_inline_slices_total"),
+        0,
+        "recovery must flow through a worker, not the inline fallback"
+    );
     assert_eq!(
         detail.get("result").expect("result").encode(),
         reference.get("result").expect("result").encode(),

@@ -12,8 +12,17 @@
 //! prefixes (mutex-induced orderings are invisible), it prunes more and,
 //! under the same schedule budget, reaches more distinct behaviours —
 //! the effect Figure 3 measures.
+//!
+//! Each child node needs its own executor and clock engine. They come from
+//! the frame pool (`FramePool`): a child body retired after its subtree
+//! is recycled by an in-place copy for the next child, so the hot loop
+//! performs no per-child heap clone, and the pool's hits are reported in
+//! [`ExploreStats::frames_pooled`] as for DPOR. Terminal accounting goes
+//! through the shared collector, whose fingerprinters re-apply only the
+//! suffix a leaf does not share with the previous one.
 
 use crate::config::ExploreConfig;
+use crate::explore::frame_pool::FramePool;
 use crate::explore::Explorer;
 use crate::stats::{profile_dims, Collector, Continue, ExploreStats};
 use lazylocks_hbr::{event_record_hash, ClockEngine, HbMode, PrefixAccumulator};
@@ -65,10 +74,12 @@ impl Explorer for HbrCaching {
             trace: Vec::new(),
             schedule: Vec::new(),
             sites: config.profile.sites(&profile_dims(program)),
+            pool: FramePool::new(),
         };
         let root = Executor::new(program);
         let clocks = ClockEngine::for_program(self.mode, program);
-        ctx.visit(&root, clocks, PrefixAccumulator::new(), None, 0);
+        ctx.visit(&root, &clocks, PrefixAccumulator::new(), None, 0);
+        ctx.collector.stats.frames_pooled += ctx.pool.hits();
         let mut stats = ctx.collector.into_stats();
         stats.wall_time = start.elapsed();
         stats
@@ -85,13 +96,15 @@ struct CachingCtx<'p> {
     /// Per-program-point prune attribution (inert when the profiler is
     /// off).
     sites: ProfileSites,
+    /// Retired child bodies, recycled for the next child.
+    pool: FramePool<'p>,
 }
 
 impl<'p> CachingCtx<'p> {
     fn visit(
         &mut self,
         exec: &Executor<'p>,
-        clocks: ClockEngine,
+        clocks: &ClockEngine,
         acc: PrefixAccumulator,
         last: Option<ThreadId>,
         preemptions: u32,
@@ -113,17 +126,26 @@ impl<'p> CachingCtx<'p> {
             let Some(p) = self.collector.admit_choice(exec, last, t, preemptions) else {
                 continue;
             };
-            let mut child = exec.clone();
+            let mut child = {
+                let timer = self
+                    .collector
+                    .shard()
+                    .timer_start(ids::PHASE_FRAME_CHECKPOINT);
+                let child = self.pool.take_from(exec, clocks);
+                self.collector
+                    .shard()
+                    .timer_stop(ids::PHASE_FRAME_CHECKPOINT, timer);
+                child
+            };
             let step_timer = self.collector.shard().timer_start(ids::PHASE_EXECUTOR_STEP);
-            let out = child.step(t);
+            let out = child.exec.step(t);
             self.collector
                 .shard()
                 .timer_stop(ids::PHASE_EXECUTOR_STEP, step_timer);
-            let mut child_clocks = clocks.clone();
             let mut child_acc = acc;
             if let Some(event) = out.event {
                 let hbr_timer = self.collector.shard().timer_start(ids::PHASE_HBR_APPLY);
-                let clock = child_clocks.apply(&event);
+                let clock = child.clocks.apply(&event);
                 self.collector
                     .shard()
                     .timer_stop(ids::PHASE_HBR_APPLY, hbr_timer);
@@ -131,6 +153,7 @@ impl<'p> CachingCtx<'p> {
                 // Prefix cache: an equivalent prefix reaches the same state
                 // (Theorems 2.1/2.2) and was already fully explored.
                 if !self.cache.insert(child_acc.fingerprint()) {
+                    self.pool.retire(child);
                     self.collector.stats.cache_prunes += 1;
                     // Attribute the prune to the event whose execution
                     // completed the already-seen prefix.
@@ -158,7 +181,8 @@ impl<'p> CachingCtx<'p> {
             if let Some(e) = out.event {
                 self.trace.push(e);
             }
-            let cont = self.visit(&child, child_clocks, child_acc, Some(t), p);
+            let cont = self.visit(&child.exec, &child.clocks, child_acc, Some(t), p);
+            self.pool.retire(child);
             if pushed_event {
                 self.trace.pop();
             }

@@ -1,7 +1,8 @@
 //! Pooled frame checkpoints for snapshot-based exploration.
 //!
 //! Snapshot-cloning DPOR pays for its O(1) backtracking with two heap
-//! clones per step: the child frame's [`Executor`] and [`ClockEngine`].
+//! clones per step, and HBR caching with two per child: the child
+//! frame's [`Executor`] and [`ClockEngine`].
 //! Both have a size that depends only on the program shape, so a frame
 //! body retired on unwind is a perfect allocation for the next frame
 //! pushed — the [`FramePool`] keeps a free list of retired bodies and
@@ -9,8 +10,8 @@
 //! [`ClockEngine::assign_from`]) instead of cloning afresh. In the steady
 //! state (pool warmed to the maximum stack depth) a DPOR step performs
 //! **zero** frame-body allocations; the pool is shared by the sequential
-//! engines and, via `Arc::try_unwrap` reclamation, by the parallel
-//! work-stealing engine.
+//! DPOR engines, by HBR caching's recursive visitor and, via
+//! `Arc::try_unwrap` reclamation, by the parallel work-stealing engine.
 
 use lazylocks_hbr::ClockEngine;
 use lazylocks_runtime::Executor;

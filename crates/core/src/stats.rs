@@ -1,10 +1,19 @@
 //! Exploration statistics and the shared terminal-state collector.
+//!
+//! Every strategy hands its terminal runs to one [`Collector`], which
+//! counts them and classifies each by its terminal state and its regular
+//! and lazy happens-before fingerprints. The relation fingerprints come
+//! from a [`LeafFingerprinter`] per mode: it keeps the previous leaf's
+//! clocks and re-applies only the suffix the next leaf does not share,
+//! so terminal accounting costs a leaf's divergent suffix rather than its
+//! depth, with digests identical to a from-scratch replay. The block is
+//! timed as `lazylocks_phase_leaf_accounting_ns`.
 
 use crate::bug::{BugKind, BugReport};
 use crate::checkpoint::CheckpointState;
 use crate::config::ExploreConfig;
 use crate::explore::preemptions_after;
-use lazylocks_hbr::{ClockEngine, HbMode};
+use lazylocks_hbr::{HbMode, LeafFingerprinter};
 use lazylocks_model::{Program, ThreadId};
 use lazylocks_obs::{ids, pack_prefix, MetricsShard, ProfileDims, ProfileLeaf};
 use lazylocks_runtime::{Event, ExecPhase, Executor};
@@ -67,9 +76,10 @@ pub struct ExploreStats {
     /// reports 1). Other strategies leave it 0.
     pub subtrees_stolen: u64,
     /// Frame bodies served from the frame pool's free list instead of
-    /// being heap-cloned (DPOR-family strategies; other strategies leave
-    /// it 0). In the steady state this tracks the step count: every push
-    /// beyond the first full-depth descent is a pool hit.
+    /// being heap-cloned (DPOR-family strategies and HBR caching; other
+    /// strategies leave it 0). In the steady state this tracks the step
+    /// count: every push beyond the first full-depth descent is a pool
+    /// hit.
     pub frames_pooled: u64,
     /// Worker threads the strategy ran with (0 for single-threaded
     /// strategies).
@@ -147,11 +157,12 @@ pub(crate) struct Collector {
     states: HashSet<u128>,
     hbrs: HashSet<u128>,
     lazy_hbrs: HashSet<u128>,
-    /// Reusable clock engines for terminal-trace fingerprints (one per
-    /// relation mode), allocated on first use and reset per trace — leaf
-    /// processing stays off the allocator.
-    hbr_engine: Option<ClockEngine>,
-    lazy_engine: Option<ClockEngine>,
+    /// Terminal-trace fingerprinters (one per relation mode), allocated on
+    /// first use. Each keeps the previous leaf's clocks and rewinds to the
+    /// prefix the next leaf shares, so a leaf costs only its new suffix
+    /// and leaf processing stays off the allocator.
+    hbr_leaves: Option<LeafFingerprinter>,
+    lazy_leaves: Option<LeafFingerprinter>,
     pub(crate) stats: ExploreStats,
     /// This collector's metrics shard (inert when the config's handle is
     /// disabled). Per-schedule counters mirror live in
@@ -260,8 +271,8 @@ impl Collector {
             states: HashSet::new(),
             hbrs: HashSet::new(),
             lazy_hbrs: HashSet::new(),
-            hbr_engine: None,
-            lazy_engine: None,
+            hbr_leaves: None,
+            lazy_leaves: None,
             stats: ExploreStats::default(),
             shard,
             profile: config.profile.leaf_shard(),
@@ -369,48 +380,9 @@ impl Collector {
         self.shard.add(ids::EVENTS, trace.len() as u64);
         self.shard.observe(ids::SCHEDULE_DEPTH, trace.len() as u64);
 
-        if self.config.collect_states {
-            let fp = exec.state_fingerprint();
-            if self.states.insert(fp) && self.config.collect_state_witnesses {
-                self.stats.state_witnesses.push((fp, schedule.to_vec()));
-            }
-            self.stats.unique_states = self.states.len();
-        }
-        // The profiler's redundancy accounting reuses the terminal
-        // fingerprints, so compute each relation once whether the stats
-        // columns, the profiler, or both want it.
-        let profiling = self.profile.is_enabled();
-        let mut fp_regular = None;
-        if self.config.collect_hbrs || profiling {
-            let fp = self
-                .hbr_engine
-                .get_or_insert_with(|| ClockEngine::for_program(HbMode::Regular, program))
-                .trace_fingerprint(trace);
-            fp_regular = Some(fp);
-            if self.config.collect_hbrs {
-                if self.hbrs.insert(fp) && self.config.collect_state_witnesses {
-                    self.stats.hbr_witnesses.push((fp, schedule.to_vec()));
-                }
-                self.stats.unique_hbrs = self.hbrs.len();
-            }
-        }
-        let mut fp_lazy = None;
-        if self.config.collect_lazy_hbrs || profiling {
-            let fp = self
-                .lazy_engine
-                .get_or_insert_with(|| ClockEngine::for_program(HbMode::Lazy, program))
-                .trace_fingerprint(trace);
-            fp_lazy = Some(fp);
-            if self.config.collect_lazy_hbrs {
-                self.lazy_hbrs.insert(fp);
-                self.stats.unique_lazy_hbrs = self.lazy_hbrs.len();
-            }
-        }
-        if profiling {
-            let key = pack_prefix(schedule.iter().map(|t| t.index() as u32));
-            self.profile
-                .record_leaf(trace.len() as u64, key, fp_regular, fp_lazy);
-        }
+        let timer = self.shard.timer_start(ids::PHASE_LEAF_ACCOUNTING);
+        self.classify_leaf(program, exec, trace, schedule);
+        self.shard.timer_stop(ids::PHASE_LEAF_ACCOUNTING, timer);
 
         let mut bug: Option<BugKind> = None;
         if let ExecPhase::Deadlock { waiting } = exec.phase() {
@@ -446,6 +418,60 @@ impl Collector {
             return Continue::Stop;
         }
         Continue::Yes
+    }
+
+    /// Terminal accounting: the state and relation fingerprints of one
+    /// leaf, their set inserts and witnesses, and the profiler's class
+    /// record.
+    fn classify_leaf(
+        &mut self,
+        program: &Program,
+        exec: &Executor,
+        trace: &[Event],
+        schedule: &[ThreadId],
+    ) {
+        if self.config.collect_states {
+            let fp = exec.state_fingerprint();
+            if self.states.insert(fp) && self.config.collect_state_witnesses {
+                self.stats.state_witnesses.push((fp, schedule.to_vec()));
+            }
+            self.stats.unique_states = self.states.len();
+        }
+        // The profiler's redundancy accounting reuses the terminal
+        // fingerprints, so compute each relation once whether the stats
+        // columns, the profiler, or both want it.
+        let profiling = self.profile.is_enabled();
+        let mut fp_regular = None;
+        if self.config.collect_hbrs || profiling {
+            let fp = self
+                .hbr_leaves
+                .get_or_insert_with(|| LeafFingerprinter::for_program(HbMode::Regular, program))
+                .fingerprint(trace);
+            fp_regular = Some(fp);
+            if self.config.collect_hbrs {
+                if self.hbrs.insert(fp) && self.config.collect_state_witnesses {
+                    self.stats.hbr_witnesses.push((fp, schedule.to_vec()));
+                }
+                self.stats.unique_hbrs = self.hbrs.len();
+            }
+        }
+        let mut fp_lazy = None;
+        if self.config.collect_lazy_hbrs || profiling {
+            let fp = self
+                .lazy_leaves
+                .get_or_insert_with(|| LeafFingerprinter::for_program(HbMode::Lazy, program))
+                .fingerprint(trace);
+            fp_lazy = Some(fp);
+            if self.config.collect_lazy_hbrs {
+                self.lazy_hbrs.insert(fp);
+                self.stats.unique_lazy_hbrs = self.lazy_hbrs.len();
+            }
+        }
+        if profiling {
+            let key = pack_prefix(schedule.iter().map(|t| t.index() as u32));
+            self.profile
+                .record_leaf(trace.len() as u64, key, fp_regular, fp_lazy);
+        }
     }
 
     /// Records a run abandoned for exceeding the run-length cap.

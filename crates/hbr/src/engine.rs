@@ -112,6 +112,37 @@ impl ClockEngine {
         &self.clocks[t]
     }
 
+    /// Buffer indices of the clocks [`apply`](Self::apply)`(event)`
+    /// overwrites — the thread clock first, then at most two site clocks —
+    /// and how many of the three entries are used. The leaf fingerprinter
+    /// saves exactly these before an apply so it can undo it.
+    pub(crate) fn written_slots(&self, event: &Event) -> ([usize; 3], usize) {
+        let t = event.thread().index();
+        let writes = self.n_threads;
+        let reads = writes + self.n_vars;
+        let mutexes = reads + self.n_vars;
+        match event.kind {
+            VisibleKind::Read(x) if self.mode != HbMode::SyncOnly => ([t, reads + x.index(), 0], 2),
+            VisibleKind::Write(x) if self.mode != HbMode::SyncOnly => {
+                ([t, writes + x.index(), reads + x.index()], 3)
+            }
+            VisibleKind::Lock(m) | VisibleKind::Unlock(m) if self.mode != HbMode::Lazy => {
+                ([t, mutexes + m.index(), 0], 2)
+            }
+            _ => ([t, 0, 0], 1),
+        }
+    }
+
+    /// The clock at buffer index `slot` (see [`written_slots`](Self::written_slots)).
+    pub(crate) fn slot(&self, slot: usize) -> &VectorClock {
+        &self.clocks[slot]
+    }
+
+    /// Mutable access to the clock at buffer index `slot`.
+    pub(crate) fn slot_mut(&mut self, slot: usize) -> &mut VectorClock {
+        &mut self.clocks[slot]
+    }
+
     /// Clock of `thread`'s latest event (zero clock if none) — the causal
     /// past of whatever `thread` does next, as used by DPOR's
     /// "already-ordered" check.
@@ -150,8 +181,10 @@ impl ClockEngine {
     /// resetting the engine first. Produces exactly the digest of
     /// [`HbBuilder::from_trace(mode, program, trace).fingerprint()`]
     /// (asserted by the test suite) without materialising any event
-    /// records — the allocation-free leaf-processing path of the
-    /// exploration engines.
+    /// records. Exploration engines fingerprint their leaves through
+    /// [`LeafFingerprinter`](crate::LeafFingerprinter), which returns this
+    /// digest while re-applying only the suffix a trace does not share
+    /// with the previous one.
     ///
     /// [`HbBuilder::from_trace(mode, program, trace).fingerprint()`]:
     ///     crate::HbBuilder::from_trace

@@ -23,6 +23,9 @@
 //! * **prefix fingerprints** ([`HbBuilder::prefix_fingerprint`]): a
 //!   linearization-invariant running digest, the key ingredient of HBR
 //!   caching (Musuvathi & Qadeer) and the paper's lazy HBR caching;
+//! * **terminal fingerprints** ([`LeafFingerprinter`]): the relation's
+//!   digest for each of a sequence of complete traces, re-applying only
+//!   the suffix each trace does not share with the previous one;
 //! * order queries ([`HbRelation::happens_before`],
 //!   [`HbRelation::concurrent`]);
 //! * the Foata normal form ([`HbRelation::foata_normal_form`]) as an
@@ -34,6 +37,7 @@
 mod builder;
 mod engine;
 mod foata;
+mod leaf;
 mod linearize;
 mod mode;
 mod relation;
@@ -41,6 +45,7 @@ mod relation;
 pub use builder::{EventRecord, HbBuilder};
 pub use engine::{event_record_hash, ClockEngine, PrefixAccumulator};
 pub use foata::foata_layers;
+pub use leaf::LeafFingerprinter;
 pub use linearize::{
     linearization_schedule, replay_events, LinearizationEnumeration, Linearizations,
 };

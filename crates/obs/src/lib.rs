@@ -30,7 +30,8 @@
 //!
 //! ## Sampling
 //!
-//! The hot phases (`executor_step`, `hbr_apply`, `race_detection`) run in
+//! The hot phases (`executor_step`, `hbr_apply`, `race_detection`,
+//! `leaf_accounting`) run in
 //! tens-to-hundreds of nanoseconds, so timing every call would dwarf the
 //! work. Their histograms are *sampled*: one call in `2^sample_shift` is
 //! timed, and each sampled observation is recorded with weight

@@ -164,15 +164,16 @@ pub mod ids {
     pub const PHASE_RACE_DETECTION: MetricId = MetricId(22);
     pub const PHASE_FRAME_CHECKPOINT: MetricId = MetricId(23);
     pub const PHASE_STEAL_WAIT: MetricId = MetricId(24);
-    pub const JOBS_RECOVERED: MetricId = MetricId(25);
-    pub const CHECKPOINTS_WRITTEN: MetricId = MetricId(26);
-    pub const CHECKPOINT_BYTES: MetricId = MetricId(27);
-    pub const RESUME_FRAMES_RESTORED: MetricId = MetricId(28);
-    pub const LEASES_GRANTED: MetricId = MetricId(29);
-    pub const LEASES_REASSIGNED: MetricId = MetricId(30);
-    pub const LEASE_ZOMBIE_RESULTS: MetricId = MetricId(31);
-    pub const LEASE_INLINE_SLICES: MetricId = MetricId(32);
-    pub const LEASE_SLICES_COMPLETED: MetricId = MetricId(33);
+    pub const PHASE_LEAF_ACCOUNTING: MetricId = MetricId(25);
+    pub const JOBS_RECOVERED: MetricId = MetricId(26);
+    pub const CHECKPOINTS_WRITTEN: MetricId = MetricId(27);
+    pub const CHECKPOINT_BYTES: MetricId = MetricId(28);
+    pub const RESUME_FRAMES_RESTORED: MetricId = MetricId(29);
+    pub const LEASES_GRANTED: MetricId = MetricId(30);
+    pub const LEASES_REASSIGNED: MetricId = MetricId(31);
+    pub const LEASE_ZOMBIE_RESULTS: MetricId = MetricId(32);
+    pub const LEASE_INLINE_SLICES: MetricId = MetricId(33);
+    pub const LEASE_SLICES_COMPLETED: MetricId = MetricId(34);
 }
 
 /// The built-in catalogue every exploration shares. Order is the id
@@ -278,6 +279,12 @@ pub fn builtin_defs() -> &'static [MetricDef] {
             "Idle wait on the shared work deque (exact)",
             WAIT_NS_BUCKETS,
             0,
+        ),
+        MetricDef::phase_timer(
+            "lazylocks_phase_leaf_accounting_ns",
+            "Terminal accounting per schedule: state and HBR fingerprints plus set inserts (sampled 1/64, weight-scaled)",
+            HOT_NS_BUCKETS,
+            6,
         ),
         MetricDef::counter(
             "lazylocks_jobs_recovered_total",

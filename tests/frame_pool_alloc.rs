@@ -1,7 +1,9 @@
-//! Steady-state allocation accounting for the pooled DPOR engines.
+//! Steady-state allocation accounting for the pooled exploration engines
+//! (DPOR and HBR caching).
 //!
 //! The frame pool's contract: once the free list has warmed up along the
-//! first full-depth descent, a DPOR step allocates **zero** frame bodies —
+//! first full-depth descent, a DPOR step or a caching child allocates
+//! **zero** frame bodies —
 //! `Executor::assign_from` / `ClockEngine::assign_from` recycle retired
 //! buffers instead of cloning afresh. This binary installs a counting
 //! global allocator and proves the contract end-to-end: exploring
@@ -12,7 +14,9 @@
 //! The whole check lives in one `#[test]` so no concurrently running test
 //! can pollute the counter (this is the only test in this binary).
 
-use lazylocks::{DependenceMode, Dpor, ExploreConfig, Explorer, MetricsHandle, ProfileHandle};
+use lazylocks::{
+    DependenceMode, Dpor, ExploreConfig, Explorer, HbrCaching, MetricsHandle, ProfileHandle,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -95,6 +99,8 @@ fn steady_state_steps_allocate_zero_frame_bodies() {
                     ..Dpor::default()
                 }),
             ),
+            ("caching", Box::new(HbrCaching::regular())),
+            ("caching(mode=lazy)", Box::new(HbrCaching::lazy())),
         ] {
             let label = format!("{label}{suffix}");
             let (allocs, stats) = allocations_during(|| explorer.explore(&program, config));

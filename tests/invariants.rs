@@ -109,3 +109,52 @@ fn mutex_free_benchmarks_sit_exactly_on_the_diagonal() {
         );
     }
 }
+
+/// Terminal fingerprints are prefix-memoised inside the collector. Each
+/// regular-HBR witness must still carry the digest a from-scratch replay
+/// of its schedule gives, for every engine that feeds the collector: the
+/// sequential and parallel DPOR drivers, both caching modes and random.
+#[test]
+fn hbr_witness_fingerprints_match_a_from_scratch_replay() {
+    use lazylocks_hbr::{ClockEngine, HbMode};
+    let specs = [
+        "dpor",
+        "lazy-dpor",
+        "caching",
+        "caching(mode=lazy)",
+        "parallel(reduction=dpor, workers=2)",
+        "random",
+    ];
+    let mut per_family: std::collections::BTreeMap<&str, usize> = Default::default();
+    let mut checked = 0usize;
+    for bench in lazylocks_suite::all() {
+        let taken = per_family.entry(bench.family).or_insert(0);
+        *taken += 1;
+        if *taken > 2 {
+            continue;
+        }
+        let mut replay = ClockEngine::for_program(HbMode::Regular, &bench.program);
+        for spec in specs {
+            let mut config = ExploreConfig::with_limit(300);
+            config.collect_state_witnesses = true;
+            let stats = ExploreSession::new(&bench.program)
+                .with_config(config)
+                .run_spec(spec)
+                .unwrap()
+                .stats;
+            assert!(!stats.hbr_witnesses.is_empty(), "{} {spec}", bench.name);
+            for (fp, schedule) in &stats.hbr_witnesses {
+                let run = lazylocks_runtime::run_schedule(&bench.program, schedule)
+                    .unwrap_or_else(|e| panic!("{} {spec}: infeasible witness {e:?}", bench.name));
+                assert_eq!(
+                    replay.trace_fingerprint(&run.trace),
+                    *fp,
+                    "{} {spec}: witness {schedule:?}",
+                    bench.name
+                );
+                checked += 1;
+            }
+        }
+    }
+    assert!(checked > 1_000, "only {checked} witnesses checked");
+}

@@ -328,3 +328,44 @@ fn parallel_workers_keep_per_worker_breakdowns() {
     let stolen_sum: u64 = stolen.per_worker.iter().map(|(_, v)| v.count()).sum();
     assert_eq!(stolen_sum, stolen.total.count());
 }
+
+/// Terminal accounting (state and HBR fingerprints plus set inserts) is a
+/// timed phase of every strategy: one sampled observation per 64 leaves,
+/// weight-scaled, so the histogram's count covers every schedule. The
+/// pooled caching engine also mirrors its pool hits to metrics.
+#[test]
+fn leaf_accounting_is_timed_for_every_strategy() {
+    let bench = lazylocks_suite::by_name("philosophers-naive-3").expect("bench exists");
+    for spec in [
+        "dfs",
+        "dpor(sleep=true)",
+        "caching",
+        "caching(mode=lazy)",
+        "random",
+        "parallel(reduction=dpor, workers=2)",
+    ] {
+        let handle = MetricsHandle::enabled();
+        let outcome = ExploreSession::new(&bench.program)
+            .with_config(ExploreConfig::with_limit(500).with_metrics(handle.clone()))
+            .run_spec(spec)
+            .unwrap();
+        let snap = handle.snapshot().unwrap();
+        let leaf = snap.get("lazylocks_phase_leaf_accounting_ns").unwrap();
+        assert!(leaf.time_based, "{spec}: a timer, scrubbed like the others");
+        let (count, schedules) = (leaf.total.count(), outcome.stats.schedules as u64);
+        let shards = u64::from(outcome.stats.workers.max(1));
+        assert!(
+            count >= schedules && count < schedules + 64 * shards,
+            "{spec}: {count} weighted leaf timings for {schedules} schedules"
+        );
+        assert!(leaf.total.sum() > 0, "{spec}: no time recorded");
+        assert_eq!(
+            snap.value("lazylocks_frames_pooled_total"),
+            outcome.stats.frames_pooled,
+            "{spec}"
+        );
+        if spec.starts_with("caching") {
+            assert!(outcome.stats.frames_pooled > 0, "{spec}: pool unused");
+        }
+    }
+}
